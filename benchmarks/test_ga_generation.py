@@ -1,9 +1,9 @@
 """Benchmarks of the GA inner loop: full generations and selection.
 
-These track the vectorized fitness engine's headline claim (≥5× faster
-GA generations at the default benchmark sizes) plus a micro-benchmark
-of the non-dominated sort at a Table-III-like population size, with the
-retained scalar sort as the reference.
+These track the fitness engine at three GA shapes (the paper-default
+population on a small batch, and the ci and full experiment scales),
+plus a micro-benchmark of the non-dominated sort at a Table-III-like
+population size, with the retained scalar sort as the reference.
 """
 
 from __future__ import annotations
@@ -20,18 +20,23 @@ from repro.datasets.preprocessing import normalize_01, stratified_split
 from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_classification
 from repro.quant.quantizers import quantize_inputs
 
-#: Default benchmark sizes: the paper-default population on a small MLP.
-POPULATION = 60
+#: Benchmark topology: the pendigits MLP (the widest Table I topology).
 TOPOLOGY = (16, 5, 10)
 
+#: The paper-default population on a small batch (``(population,
+#: samples before the 70 % split)``), then the ci and full experiment
+#: scales: population 40 on 800 samples, population 120 on all 3498
+#: pendigits samples.
+DEFAULT_SHAPE = (60, 700)
+SCALE_SHAPES = {"ci": (40, 800), "full": (120, 3498)}
 
-@pytest.fixture(scope="module")
-def ga_training_data():
+
+def training_data(num_samples: int):
     rng = np.random.default_rng(0)
     spec = SyntheticSpec(
         num_features=TOPOLOGY[0],
         num_classes=TOPOLOGY[-1],
-        num_samples=700,
+        num_samples=num_samples,
         class_sep=2.0,
         noise=0.2,
     )
@@ -40,25 +45,39 @@ def ga_training_data():
     return quantize_inputs(x_train), y_train
 
 
-def run_generations(x_train, y_train, generations: int):
-    config = GAConfig(population_size=POPULATION, generations=generations, seed=0)
+def run_generations(x_train, y_train, population: int, generations: int):
+    config = GAConfig(population_size=population, generations=generations, seed=0)
     trainer = GATrainer(TOPOLOGY, ga_config=config)
     return trainer.train(x_train, y_train)
 
 
-def test_bench_full_ga_generation(benchmark, ga_training_data, record_bench):
-    """One full NSGA-II generation at population 60 (evaluation + selection)."""
-    x_train, y_train = ga_training_data
-    result = benchmark(lambda: run_generations(x_train, y_train, 1))
+def bench_one_generation(benchmark, record_bench, name, population, num_samples):
+    x_train, y_train = training_data(num_samples)
+    result = benchmark(lambda: run_generations(x_train, y_train, population, 1))
     # Unique-lookup counting: in-batch duplicates are folded.
-    assert POPULATION <= result.evaluations <= POPULATION * 2
+    assert population <= result.evaluations <= population * 2
     assert len(result.history) == 1
     record_bench(
         "ga_generation",
-        "full_generation_pop60",
+        name,
         seconds=result.wall_clock_seconds,
-        population=POPULATION,
+        population=population,
+        samples=len(y_train),
         evaluations=result.evaluations,
+    )
+
+
+def test_bench_full_ga_generation(benchmark, record_bench):
+    """One full NSGA-II generation at population 60 (evaluation + selection)."""
+    bench_one_generation(benchmark, record_bench, "full_generation_pop60", *DEFAULT_SHAPE)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALE_SHAPES))
+def test_bench_ga_generation_at_scale(benchmark, record_bench, scale):
+    """One full NSGA-II generation at the ci and full experiment shapes."""
+    population, num_samples = SCALE_SHAPES[scale]
+    bench_one_generation(
+        benchmark, record_bench, f"full_generation_{scale}", population, num_samples
     )
 
 

@@ -26,7 +26,27 @@ import numpy as np
 from repro.quant.qrelu import QReLU
 from repro.approx.neuron import ApproximateNeuron
 
-__all__ = ["ApproximateLayer", "worst_case_shift", "expand_activation_bits"]
+__all__ = [
+    "ApproximateLayer",
+    "worst_case_shift",
+    "expand_activation_bits",
+    "exact_matmul_dtype",
+]
+
+
+def exact_matmul_dtype(bound: int) -> np.dtype:
+    """Weakest dtype whose bit-plane matmul is exact for accumulators up to ``bound``.
+
+    A BLAS matmul is exact as long as every partial sum stays an exactly
+    representable integer (2**24 for float32, 2**53 for float64); the
+    accumulator bounds give a hard cap.  ``bound`` is the largest
+    magnitude any accumulator (bias included) can reach.
+    """
+    if bound < 2**22:
+        return np.dtype(np.float32)
+    if bound < 2**52:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
 
 
 def expand_activation_bits(x: np.ndarray, width: int) -> np.ndarray:
@@ -115,9 +135,9 @@ class ApproximateLayer:
                 raise ValueError("signs must be -1 or +1")
             if np.any(self.exponents < 0):
                 raise ValueError("exponents must be non-negative")
-        # Lazily built caches; the GA decodes a fresh layer per candidate
-        # and never mutates parameters in place, so plain memoization is
-        # safe.  Call invalidate_caches() after any in-place edit.
+        # Lazily built caches; decoded layers are never mutated in place,
+        # so plain memoization is safe.  Call invalidate_caches() after
+        # any in-place edit.
         self._bit_planes: Optional[np.ndarray] = None
         self._float_planes: Optional[np.ndarray] = None
         self._acc_bounds: Optional[tuple] = None
@@ -179,17 +199,10 @@ class ApproximateLayer:
             planes = planes.reshape(self.fan_in * width, self.fan_out)
             planes.setflags(write=False)
             self._bit_planes = planes
-            # A BLAS matmul is exact as long as every partial sum stays
-            # an exactly representable integer (2**24 for float32, 2**53
-            # for float64); the accumulator bounds give a hard cap.
             low, high = self._accumulator_bounds()
             bound = max(abs(int(low.min(initial=0))), abs(int(high.max(initial=0))))
-            if bound < 2**22:
-                self._float_planes = planes.astype(np.float32)
-            elif bound < 2**52:
-                self._float_planes = planes.astype(np.float64)
-            else:
-                self._float_planes = None
+            dtype = exact_matmul_dtype(bound)
+            self._float_planes = None if dtype == np.int64 else planes.astype(dtype)
         return self._bit_planes
 
     def accumulate(self, x: np.ndarray, slow: bool = False) -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.approx.config import ApproxConfig
-from repro.approx.layer import ApproximateLayer, expand_activation_bits, worst_case_shift
+from repro.approx.layer import ApproximateLayer, worst_case_shift
+from repro.approx.population import StackedMLP, accuracy_stacked, forward_stacked
 from repro.approx.topology import Topology
 from repro.quant.qrelu import QReLU
 
@@ -264,23 +265,6 @@ class ApproximateMLP:
             shifts=payload.get("shifts"),
         )
 
-    @staticmethod
-    def _population_planes(layers: List[ApproximateLayer]) -> np.ndarray:
-        """Stacked bit-plane matrices of one layer position, ``(P, K, fan_out)``.
-
-        The stack dtype is the weakest type that keeps every candidate's
-        matmul exact: float32 when every layer qualifies, float64 when
-        all at least allow a float path, int64 otherwise.
-        """
-        for layer in layers:
-            layer.bit_planes  # materialize caches
-        float_planes = [layer._float_planes for layer in layers]
-        if any(planes is None for planes in float_planes):
-            return np.stack([layer.bit_planes for layer in layers])
-        if all(planes.dtype == np.float32 for planes in float_planes):
-            return np.stack(float_planes)
-        return np.stack([planes.astype(np.float64, copy=False) for planes in float_planes])
-
     def copy(self) -> "ApproximateMLP":
         """Deep copy of the model (copies the weight arrays directly)."""
         layers = [
@@ -303,56 +287,21 @@ class ApproximateMLP:
 def forward_population(models: Sequence[ApproximateMLP], x: np.ndarray) -> np.ndarray:
     """Forward a shared input batch through a whole population at once.
 
-    All models must share one topology/config (the GA case: one decoded
-    candidate per chromosome of a population).  Each layer position
-    becomes a single batched matmul of the stacked bit-plane matrices —
-    ``(P, n, K) @ (P, K, fan_out)`` — instead of ``P`` separate passes,
-    and is bitwise identical to calling :meth:`ApproximateMLP.forward`
-    per model.
+    All models must share one topology/config (the GA case).  The
+    models' parameters are stacked into a :class:`StackedMLP` and run
+    through :func:`forward_stacked`: one batched bit-plane matmul per
+    layer position, bitwise identical to calling
+    :meth:`ApproximateMLP.forward` per model.
 
     Returns
     -------
     Output accumulators of shape ``(P, n_samples, num_outputs)``.
     """
-    if not models:
-        raise ValueError("forward_population needs at least one model")
-    sizes = models[0].topology.sizes
-    config = models[0].config
-    if any(m.topology.sizes != sizes or m.config != config for m in models):
-        raise ValueError("forward_population requires a homogeneous population")
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim == 1:
-        x = x[None, :]
-
-    activations: np.ndarray = x  # (n, fan_in), promoted to (P, n, ·) below
-    num_layers = len(models[0].layers)
-    for layer_index in range(num_layers):
-        layers = [m.layers[layer_index] for m in models]
-        first = layers[0]
-        planes = ApproximateMLP._population_planes(layers)  # (P, K, fan_out)
-        x_bits = expand_activation_bits(activations, first.plane_bits)
-        if planes.dtype != np.int64:
-            acc = np.matmul(x_bits.astype(planes.dtype), planes).astype(np.int64)
-        else:
-            acc = np.matmul(x_bits.astype(np.int64), planes)
-        biases = np.stack([layer.biases for layer in layers])  # (P, fan_out)
-        acc += biases[:, None, :]
-        if first.activation is None:
-            activations = acc
-        else:
-            shifts = np.array(
-                [layer.activation.shift for layer in layers], dtype=np.int64
-            )
-            shifted = acc >> shifts[:, None, None]
-            activations = np.clip(shifted, 0, first.activation.max_value)
-    return activations
+    return forward_stacked(StackedMLP.from_models(models), x).astype(np.int64)
 
 
 def accuracy_population(
     models: Sequence[ApproximateMLP], x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Classification accuracy of every model of a population at once."""
-    y = np.asarray(y)
-    scores = forward_population(models, x)  # (P, n, num_outputs)
-    predictions = np.argmax(scores, axis=2)
-    return (predictions == y[None, :]).mean(axis=1)
+    return accuracy_stacked(StackedMLP.from_models(models), x, y)

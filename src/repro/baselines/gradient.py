@@ -105,9 +105,11 @@ class TrainingResult:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # Bare ufunc reductions: the same arithmetic as ``.max``/``.sum``
+    # without the Python-level wrapper call per mini-batch.
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / np.add.reduce(exp, axis=1, keepdims=True)
 
 
 @dataclass
@@ -161,10 +163,14 @@ class GradientTrainer:
         features: np.ndarray,
         labels: np.ndarray,
         topology: Topology | Sequence[int],
+        slow: bool = False,
     ) -> TrainingResult:
         """Train a :class:`FloatMLP` on ``(features, labels)``.
 
         Runs ``restarts`` independent trainings and keeps the best.
+        ``slow=True`` runs the per-layer reference loop instead of the
+        flat-buffer loop; both perform the same per-element operations
+        and return bit-identical models and losses.
         """
         start = time.perf_counter()
         if not isinstance(topology, Topology):
@@ -184,7 +190,8 @@ class GradientTrainer:
         total_epochs = 0
         for restart in range(self.restarts):
             rng = np.random.default_rng(base_seed + restart)
-            model, losses = self._train_single(features, labels, topology, rng)
+            train_single = self._train_per_layer if slow else self._train_single
+            model, losses = train_single(features, labels, topology, rng)
             accuracy = model.accuracy(features, labels)
             total_epochs += self.epochs
             candidate = TrainingResult(
@@ -209,6 +216,107 @@ class GradientTrainer:
         topology: Topology,
         rng: np.random.Generator,
     ) -> tuple[FloatMLP, List[float]]:
+        """One training run with every parameter in one flat buffer.
+
+        The weights and biases are views of one vector ``theta`` and
+        the backward pass writes into views of one gradient vector, so
+        each step is a single set of optimizer ufunc calls instead of
+        one set per array.  Per element the arithmetic is that of
+        :meth:`_train_per_layer` (the oracle), so results are
+        bit-identical.
+        """
+        model = FloatMLP.random(topology, rng)
+        num_layers = topology.num_layers
+        total = topology.num_parameters
+        theta = np.empty(total)
+        gradient = np.empty(total)
+        weights: List[np.ndarray] = []
+        biases: List[np.ndarray] = []
+        grad_weights: List[np.ndarray] = []
+        grad_biases: List[np.ndarray] = []
+        offset = 0
+        for weight, bias in zip(model.weights, model.biases):
+            for source, params, grads in (
+                (weight, weights, grad_weights),
+                (bias, biases, grad_biases),
+            ):
+                end = offset + source.size
+                params.append(theta[offset:end].reshape(source.shape))
+                grads.append(gradient[offset:end].reshape(source.shape))
+                params[-1][...] = source
+                offset = end
+        first = np.zeros(total)
+        second = np.zeros(total)
+        one_hot = np.eye(topology.num_outputs)[labels]
+        n = features.shape[0]
+        losses: List[float] = []
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        step = 0
+
+        for epoch in range(self.epochs):
+            # Shuffle once per epoch; each mini-batch is then a slice.
+            order = rng.permutation(n)
+            shuffled_x = features[order]
+            shuffled_t = one_hot[order]
+            epoch_loss = 0.0
+            for start_idx in range(0, n, self.batch_size):
+                x = shuffled_x[start_idx : start_idx + self.batch_size]
+                t = shuffled_t[start_idx : start_idx + self.batch_size]
+                size = len(x)
+
+                activations = [x]
+                for index in range(num_layers):
+                    z = activations[-1] @ weights[index] + biases[index]
+                    if index < num_layers - 1:
+                        z = np.maximum(z, 0.0)
+                    activations.append(z)
+                probs = _softmax(activations[-1])
+                log_likelihood = np.add.reduce(t * np.log(probs + 1e-12), axis=1)
+                batch_loss = -(np.add.reduce(log_likelihood) / size)
+                epoch_loss += batch_loss * size
+
+                grad = (probs - t) / size
+                step += 1
+                for index in range(num_layers - 1, -1, -1):
+                    grad_w = grad_weights[index]
+                    np.matmul(activations[index].T, grad, out=grad_w)
+                    grad_w += self.weight_decay * weights[index]
+                    np.add.reduce(grad, axis=0, out=grad_biases[index])
+                    if index > 0:
+                        grad = grad @ weights[index].T
+                        grad = grad * (activations[index] > 0)
+                if self.optimizer == "adam":
+                    first *= beta1
+                    first += (1 - beta1) * gradient
+                    second *= beta2
+                    second += (1 - beta2) * gradient**2
+                    correction1 = 1 - beta1**step
+                    correction2 = 1 - beta2**step
+                    update = (first / correction1) / (np.sqrt(second / correction2) + eps)
+                    theta -= self.learning_rate * update
+                else:
+                    first *= self.momentum
+                    first -= self.learning_rate * gradient
+                    theta += first
+
+            losses.append(epoch_loss / n)
+            if self.verbose and (epoch % max(self.epochs // 10, 1) == 0):  # pragma: no cover
+                print(f"epoch {epoch}: loss={losses[-1]:.4f}")
+        trained = FloatMLP(
+            topology=topology,
+            weights=[w.copy() for w in weights],
+            biases=[b.copy() for b in biases],
+        )
+        return trained, losses
+
+    def _train_per_layer(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        topology: Topology,
+        rng: np.random.Generator,
+    ) -> tuple[FloatMLP, List[float]]:
+        """Reference loop: one optimizer update per weight/bias array."""
         model = FloatMLP.random(topology, rng)
         velocity_w = [np.zeros_like(w) for w in model.weights]
         velocity_b = [np.zeros_like(b) for b in model.biases]

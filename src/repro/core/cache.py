@@ -1,6 +1,6 @@
 """Shared evaluation cache spanning the stages of the Fig. 2 pipeline.
 
-The GA stage decodes and forwards every chromosome it evaluates; the
+The GA stage scores every chromosome it evaluates; the
 subsequent front-synthesis stage used to rebuild all of that from
 scratch (decode again, forward again, synthesize one model at a time),
 and the reporting experiments (Table II, Fig. 4, Fig. 5) re-request the
@@ -15,11 +15,10 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
 ``models``
     genome → decoded :class:`~repro.approx.mlp.ApproximateMLP` (with its
     lazily built bit-plane caches), so the front synthesis never decodes
-    a genome the GA has already seen.  Populated by in-process
-    evaluation (``n_workers <= 1``, the default); the process-pool and
-    island paths keep decoded models inside the workers, so the trainer
-    decodes-and-caches the final front's members once in the parent
-    before returning (``GATrainer._populate_model_cache``);
+    a front member again.  Fitness is scored genome-natively, without a
+    model per genome, so this section holds only the final archive's
+    members: the trainer decodes-and-caches them once before returning
+    (``GATrainer._populate_model_cache``);
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``

@@ -10,7 +10,9 @@ then adapt the activation scaling to the pruning level it discovers).
 
 The :class:`ChromosomeLayout` knows the lower/upper bound of every gene
 and converts between flat gene vectors and :class:`ApproximateMLP`
-models in both directions.
+models in both directions; :meth:`ChromosomeLayout.decode_population`
+unpacks a whole ``(P, genes)`` population matrix into stacked
+parameters for the GA's fitness kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP, default_shifts
+from repro.approx.population import StackedMLP
 from repro.approx.topology import Topology
 
 __all__ = ["ChromosomeLayout"]
@@ -158,9 +161,9 @@ class ChromosomeLayout:
         """Build the :class:`ApproximateMLP` described by a chromosome.
 
         By default the decoded layers' bit-plane weight matrices are
-        built eagerly, so the fitness evaluator's forward passes start
-        from fully prepared layers (the planes are built exactly once
-        per decode either way; see :attr:`ApproximateLayer.bit_planes`).
+        built eagerly, so later forward passes start from fully prepared
+        layers (the planes are built exactly once per decode either way;
+        see :attr:`ApproximateLayer.bit_planes`).
         """
         chromosome = np.asarray(chromosome, dtype=np.int64)
         # One vectorized shape+bounds check here replaces the per-layer
@@ -206,6 +209,59 @@ class ChromosomeLayout:
             for layer in mlp.layers:
                 layer.bit_planes
         return mlp
+
+    def decode_population(self, population: np.ndarray) -> StackedMLP:
+        """Decode an ``(P, genes)`` population matrix into stacked parameters.
+
+        The genome-native counterpart of :meth:`decode`: the same gene
+        layout is unpacked for all ``P`` rows at once by reshape and
+        transpose, with no per-genome model.  One vectorized check keeps
+        the :meth:`validate` contract (``ValueError`` on a wrong shape or
+        an out-of-bounds gene).
+        """
+        population = np.asarray(population, dtype=np.int64)
+        if population.ndim != 2 or population.shape[1] != self.num_genes:
+            raise ValueError(
+                f"population must have shape (P, {self.num_genes}), got {population.shape}"
+            )
+        bad = (population < self.lower_bounds) | (population > self.upper_bounds)
+        if bad.any():
+            genes = np.unique(np.nonzero(bad)[1])
+            raise ValueError(f"genes {genes[:10].tolist()} out of bounds")
+        size = population.shape[0]
+        masks: List[np.ndarray] = []
+        signs: List[np.ndarray] = []
+        exponents: List[np.ndarray] = []
+        biases: List[np.ndarray] = []
+        for layer_index, (fan_in, fan_out) in enumerate(self.topology.layer_shapes()):
+            block = population[:, self._layer_slices[layer_index]].reshape(
+                size, fan_out, fan_in * GENES_PER_CONNECTION + 1
+            )
+            # Stored neuron-major; the stack wants (P, fan_in, fan_out).
+            weight_genes = (
+                block[:, :, : fan_in * GENES_PER_CONNECTION]
+                .reshape(size, fan_out, fan_in, GENES_PER_CONNECTION)
+                .transpose(3, 0, 2, 1)
+            )
+            masks.append(np.ascontiguousarray(weight_genes[0]))
+            signs.append(np.where(weight_genes[1] == 0, -1, 1))
+            exponents.append(np.ascontiguousarray(weight_genes[2]))
+            biases.append(np.ascontiguousarray(block[:, :, -1]))
+
+        num_hidden = self.topology.num_layers - 1
+        if self.learn_shifts:
+            shifts = population[:, self._shift_slice].copy()
+        else:
+            worst_case = np.array(self._max_shifts[:num_hidden], dtype=np.int64)
+            shifts = np.tile(worst_case, (size, 1))
+        return StackedMLP(
+            config=self.config,
+            masks=tuple(masks),
+            signs=tuple(signs),
+            exponents=tuple(exponents),
+            biases=tuple(biases),
+            shifts=shifts,
+        )
 
     def encode(self, mlp: ApproximateMLP) -> np.ndarray:
         """Flatten an :class:`ApproximateMLP` into a gene vector."""

@@ -12,12 +12,15 @@ to how far the candidate's accuracy loss exceeds the admissible bound
 (10 % during training, per Section IV-A).  The violation is used for
 constrained dominance in the NSGA-II selection.
 
-The evaluator is population-batched: :meth:`evaluate_population`
-deduplicates the batch and serves repeated genomes (elites, clones
-produced by crossover) from a ``chromosome.tobytes()``-keyed memo
-cache, so no chromosome is ever decoded and forwarded twice.  For large
-populations an opt-in process pool (``n_workers``) fans the unique
-evaluations out across cores.
+The evaluator is population-batched and genome-native:
+:meth:`evaluate_population` deduplicates the batch, serves repeated
+genomes (elites, clones produced by crossover) from a
+``chromosome.tobytes()``-keyed memo cache, and scores the remaining
+rows of the population matrix in one stacked pass
+(:meth:`ChromosomeLayout.decode_population` →
+:func:`~repro.approx.population.score_stacked`) without building a model
+per genome.  For large populations an opt-in process pool
+(``n_workers``) fans the unique evaluations out across cores.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.approx.mlp import accuracy_population
+from repro.approx.population import score_stacked
 from repro.core.cache import EvaluationCache
 from repro.core.chromosome import ChromosomeLayout
-from repro.hardware.fast_area import fast_mlp_fa_count, fast_population_fa_count
+from repro.hardware.fast_area import fast_mlp_fa_count
 
 __all__ = ["FitnessValues", "FitnessEvaluator"]
 
@@ -64,7 +67,7 @@ def _init_worker(payload: dict) -> None:
     _WORKER_EVALUATOR = FitnessEvaluator(**payload)
 
 
-def _evaluate_chunk(chromosomes: List[np.ndarray]) -> List[FitnessValues]:
+def _evaluate_chunk(chromosomes: np.ndarray) -> List[FitnessValues]:
     assert _WORKER_EVALUATOR is not None, "worker pool not initialized"
     return _WORKER_EVALUATOR._compute_batch(chromosomes)
 
@@ -98,9 +101,10 @@ class FitnessEvaluator:
         keeps its own section bounds.
     cache:
         Optional shared :class:`~repro.core.cache.EvaluationCache`.  When
-        given, fitness values and decoded models are stored there, so
-        later pipeline stages (front synthesis, reporting) can reuse the
-        GA's work; when omitted, a private cache is created.  Fitness
+        given, fitness values are stored there, so later pipeline stages
+        can reuse the GA's work; when omitted, a private cache is
+        created.  (Decoded models of the archive members are cached by
+        the trainer, not per evaluated genome.)  Fitness
         entries are namespaced by the evaluator's context (training
         split, baseline accuracy, loss bound), so one cache can safely
         be shared between evaluators with different constraints.
@@ -115,7 +119,7 @@ class FitnessEvaluator:
     cache_hits:
         How many unique lookups were served from the memo cache.
     fitness_computations:
-        Number of chromosomes actually decoded and forwarded
+        Number of chromosomes actually scored
         (``evaluations - cache_hits``).
     """
 
@@ -162,11 +166,9 @@ class FitnessEvaluator:
         )
         # Cached FitnessValues embed the decode semantics, the training
         # split and the feasibility constraint, so fitness keys are
-        # namespaced by this evaluator's context; decoded models depend
-        # only on the layout, so model keys carry the layout identity.
-        self._layout_key = EvaluationCache.layout_key(layout)
+        # namespaced by this evaluator's context.
         self._context_key = (
-            self._layout_key,
+            EvaluationCache.layout_key(layout),
             baseline_accuracy,
             max_accuracy_loss,
             EvaluationCache.split_fingerprint(self.train_inputs, self.train_labels),
@@ -176,24 +178,38 @@ class FitnessEvaluator:
     def _fitness_key(self, genome: bytes):
         return (self._context_key, genome)
 
-    def _model_key(self, genome: bytes):
-        return (self._layout_key, genome)
-
     @property
     def _cache(self):
         """The fitness section's backing mapping (tests and debugging)."""
         return self.cache.fitness._data
 
     # ------------------------------------------------------------------
-    def _decode_and_score(self, chromosome: np.ndarray):
-        """Decode one chromosome and score it; returns ``(mlp, values)``."""
-        mlp = self.layout.decode(chromosome)
-        accuracy = mlp.accuracy(self.train_inputs, self.train_labels)
-        return mlp, self._make_values(accuracy, float(fast_mlp_fa_count(mlp)))
+    def score_population(
+        self, population: np.ndarray, slow: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Training accuracy and FA-count area of every row of ``population``.
+
+        The default path decodes the ``(P, genes)`` matrix into stacked
+        tensors and scores them in one pass; ``slow=True`` decodes one
+        :class:`~repro.approx.mlp.ApproximateMLP` per genome and scores
+        it on its own (the bit-identical oracle).  Returns a float64 and
+        an int64 array of shape ``(P,)``.
+        """
+        population = np.asarray(population, dtype=np.int64)
+        if not slow:
+            stack = self.layout.decode_population(population)
+            return score_stacked(stack, self.train_inputs, self.train_labels)
+        models = [self.layout.decode(chromosome) for chromosome in population]
+        accuracies = [m.accuracy(self.train_inputs, self.train_labels) for m in models]
+        areas = [fast_mlp_fa_count(m) for m in models]
+        return np.array(accuracies, dtype=np.float64), np.array(areas, dtype=np.int64)
 
     def compute(self, chromosome: np.ndarray) -> FitnessValues:
         """Decode and evaluate one chromosome, bypassing the memo cache."""
-        return self._decode_and_score(chromosome)[1]
+        accuracies, areas = self.score_population(
+            np.asarray(chromosome, dtype=np.int64)[None, :], slow=True
+        )
+        return self._make_values(float(accuracies[0]), float(areas[0]))
 
     def _make_values(self, accuracy: float, area: float) -> FitnessValues:
         violation = 0.0
@@ -209,18 +225,9 @@ class FitnessEvaluator:
 
     def evaluate(self, chromosome: np.ndarray) -> FitnessValues:
         """Evaluate one chromosome (memoized)."""
-        chromosome = np.ascontiguousarray(chromosome, dtype=np.int64)
-        genome = chromosome.tobytes()
-        self.evaluations += 1
-        cached = self.cache.fitness.get(self._fitness_key(genome))
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        mlp, values = self._decode_and_score(chromosome)
-        self.fitness_computations += 1
-        self.cache.fitness.put(self._fitness_key(genome), values)
-        self.cache.models.put(self._model_key(genome), mlp)
-        return values
+        return self.evaluate_population(
+            np.asarray(chromosome, dtype=np.int64).reshape(1, -1)
+        )[0]
 
     def evaluate_population(
         self, population: Union[np.ndarray, Sequence[np.ndarray]]
@@ -231,20 +238,19 @@ class FitnessEvaluator:
         trainer's native representation) or a sequence of gene vectors.
         The batch is deduplicated first — in-batch duplicates (elites,
         crossover clones) are folded onto one lookup and never counted
-        twice — then resolved against the memo cache; only unique,
-        never-seen genomes are decoded and forwarded (optionally on the
-        worker pool).
+        twice — then resolved against the memo cache; only the unique,
+        never-seen rows are scored, in one stacked pass (optionally on
+        the worker pool).
         """
-        if isinstance(population, np.ndarray) and population.ndim == 2:
-            # Matrix-native population (the trainer's representation):
-            # one contiguous cast covers every row, so keying stays
-            # allocation-lean and no per-individual list is rebuilt.
-            chromosomes = list(np.ascontiguousarray(population, dtype=np.int64))
-        else:
-            chromosomes = [
-                np.ascontiguousarray(c, dtype=np.int64) for c in population
-            ]
-        keys = [c.tobytes() for c in chromosomes]
+        if len(population) == 0:
+            return []
+        # One contiguous (n, genes) matrix: keys are its rows' bytes and
+        # the unscored rows are gathered from it in one fancy index.
+        matrix = np.ascontiguousarray(
+            population if isinstance(population, np.ndarray) else np.stack(population),
+            dtype=np.int64,
+        )
+        keys = [row.tobytes() for row in matrix]
 
         # Resolve against a batch-local map so cache eviction while
         # storing new results can never drop an entry we still need.
@@ -261,50 +267,31 @@ class FitnessEvaluator:
                 pending[key] = index
         self.evaluations += len(resolved) + len(pending)
 
-        unique = [chromosomes[index] for index in pending.values()]
-        if unique:
-            computed = self._compute_batch(unique, keys=list(pending.keys()))
-            self.fitness_computations += len(unique)
+        if pending:
+            computed = self._compute_batch(matrix[list(pending.values())])
+            self.fitness_computations += len(pending)
             for key, values in zip(pending.keys(), computed):
                 resolved[key] = values
                 self.cache.fitness.put(self._fitness_key(key), values)
         return [resolved[key] for key in keys]
 
     # ------------------------------------------------------------------
-    def _compute_batch(
-        self, chromosomes: List[np.ndarray], keys: Optional[List[bytes]] = None
-    ) -> List[FitnessValues]:
+    def _compute_batch(self, chromosomes: np.ndarray) -> List[FitnessValues]:
         if self.n_workers > 1 and len(chromosomes) >= 2 * self.n_workers:
-            # Models stay in the worker processes; only values come back.
             return self._compute_on_pool(chromosomes)
-        return self._compute_vectorized(chromosomes, keys=keys)
+        return self._compute_vectorized(chromosomes)
 
-    def _compute_vectorized(
-        self, chromosomes: List[np.ndarray], keys: Optional[List[bytes]] = None
-    ) -> List[FitnessValues]:
-        """Population-batched fitness: one batched forward pass and one
-        batched FA count cover the whole chromosome list (bitwise
+    def _compute_vectorized(self, chromosomes: np.ndarray) -> List[FitnessValues]:
+        """Genome-native fitness of a ``(P, genes)`` matrix: one stacked
+        forward pass and one stacked FA count cover every row (bitwise
         identical to per-chromosome :meth:`compute`)."""
-        models = [self.layout.decode(c) for c in chromosomes]
-        if keys is not None:
-            for key, model in zip(keys, models):
-                self.cache.models.put(self._model_key(key), model)
-        if len(models) == 1:
-            accuracies = [models[0].accuracy(self.train_inputs, self.train_labels)]
-            areas = [float(fast_mlp_fa_count(models[0]))]
-            return [self._make_values(accuracies[0], areas[0])]
-        accuracies = accuracy_population(models, self.train_inputs, self.train_labels)
-        areas = fast_population_fa_count(models)
+        accuracies, areas = self.score_population(chromosomes)
         return [
             self._make_values(accuracy, float(area))
             for accuracy, area in zip(accuracies.tolist(), areas.tolist())
         ]
 
-    def _compute_on_pool(self, chromosomes: List[np.ndarray]) -> List[FitnessValues]:
-        # Decoded models stay inside the worker processes (only fitness
-        # tuples travel back), so this path cannot feed ``cache.models``;
-        # the trainer decodes-and-caches the final front's members once
-        # in the parent instead (``GATrainer._populate_model_cache``).
+    def _compute_on_pool(self, chromosomes: np.ndarray) -> List[FitnessValues]:
         pool = self._ensure_pool()
         chunk = max(1, -(-len(chromosomes) // self.n_workers))
         chunks = [

@@ -10,9 +10,12 @@ operations over whole layers.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.approx.mlp import ApproximateMLP
+if TYPE_CHECKING:  # the stacked kernel in repro.approx imports this module
+    from repro.approx.mlp import ApproximateMLP
 
 __all__ = [
     "layer_column_counts",
@@ -244,18 +247,13 @@ def fast_population_fa_count(mlps: "list[ApproximateMLP]") -> np.ndarray:
 
     Identical to calling :func:`fast_mlp_fa_count` per model — each
     neuron's column histogram and greedy 3:2 reduction are unchanged —
-    but the whole population is counted with one bincount and one
-    reduction sweep per layer position.
+    but the models are stacked and counted with one bincount and one
+    reduction sweep per layer position
+    (:func:`~repro.approx.population.fa_count_stacked`).
     """
     if not mlps:
         return np.zeros(0, dtype=np.int64)
-    totals = np.zeros(len(mlps), dtype=np.int64)
-    for layer_index in range(len(mlps[0].layers)):
-        layers = [mlp.layers[layer_index] for mlp in mlps]
-        totals += _population_layer_fa_counts(
-            masks=np.stack([layer.masks for layer in layers]),
-            exponents=np.stack([layer.exponents for layer in layers]),
-            biases=np.stack([layer.biases for layer in layers]),
-            input_bits=layers[0].input_bits,
-        )
-    return totals
+    # Imported here: repro.approx.population builds on this module.
+    from repro.approx.population import StackedMLP, fa_count_stacked
+
+    return fa_count_stacked(StackedMLP.from_models(mlps))

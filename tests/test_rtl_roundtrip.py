@@ -18,7 +18,7 @@ factories) across topologies, bit widths and mask densities:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
 from repro.eda.microverilog import simulate_mlp_module
@@ -108,6 +108,9 @@ class TestFiveOracleClosure:
         input_bits=st.integers(min_value=2, max_value=6),
         mask_density=st.floats(min_value=0.1, max_value=1.0),
     )
+    # Regression: the layer-0 accumulator was narrower than the 8-bit
+    # activation, so the saturation wire could not be sliced to 8 bits.
+    @example(seed=4311, hidden=2, input_bits=2, mask_density=0.25)
     def test_microverilog_netlist_and_model_agree(
         self, make_mlp, seed, hidden, input_bits, mask_density
     ):
