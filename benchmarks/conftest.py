@@ -27,7 +27,7 @@ from typing import Dict, List
 import pytest
 
 from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.pipeline import DatasetPipeline
+from repro.experiments.session import ExperimentSession
 
 #: Scale used by the benchmarks (overridable via the environment).
 BENCH_SCALE_NAME = os.environ.get("REPRO_BENCH_SCALE", "smoke")
@@ -42,9 +42,9 @@ def bench_scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def pipeline() -> DatasetPipeline:
-    """One pipeline shared by all benchmarks (baselines/GA runs are cached)."""
-    return DatasetPipeline(bench_scale())
+def session() -> ExperimentSession:
+    """One session shared by all benchmarks (baselines/GA runs are memoized)."""
+    return ExperimentSession(bench_scale())
 
 
 def _record_bench(group: str, name: str, seconds: float, **extra) -> None:

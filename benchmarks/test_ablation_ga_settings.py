@@ -8,17 +8,14 @@ accuracy as quality indicators.
 
 from __future__ import annotations
 
-from repro.experiments.ablation import format_ablation, run_ga_settings_ablation
 
-
-def test_ablation_ga_settings(benchmark, pipeline):
+def test_ablation_ga_settings(benchmark, session):
     """Time the GA-settings ablation and check its shape."""
-    rows = benchmark.pedantic(
-        lambda: run_ga_settings_ablation(pipeline, dataset=pipeline.scale.datasets[0]),
-        rounds=1,
-        iterations=1,
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("ablation_ga"), rounds=1, iterations=1
     )
-    print("\n" + format_ablation(rows))
+    print("\n" + artifact.format())
+    rows = artifact.rows
 
     by_setting = {row["setting"]: row for row in rows}
     assert set(by_setting) == {"doped+constraint", "random_init", "no_constraint"}

@@ -78,9 +78,9 @@ def test_bench_parse_and_simulate_sweep(record_bench):
     )
 
 
-def test_bench_fifth_oracle_overhead(pipeline, record_bench):
+def test_bench_fifth_oracle_overhead(session, record_bench):
     """verify_front(eda=True) vs eda=False on a synthesized front."""
-    result = pipeline.approximate("breast_cancer")
+    result = session.front("breast_cancer")
     approx = result.approximate
     assert approx is not None
 
@@ -88,7 +88,7 @@ def test_bench_fifth_oracle_overhead(pipeline, record_bench):
     plain = verify_front(
         approx.ga_result,
         num_vectors=64,
-        max_designs=pipeline.scale.max_front_designs,
+        max_designs=session.scale.max_front_designs,
         cache=EvaluationCache(),
     )
     plain_seconds = time.perf_counter() - start
@@ -97,7 +97,7 @@ def test_bench_fifth_oracle_overhead(pipeline, record_bench):
     eda = verify_front(
         approx.ga_result,
         num_vectors=64,
-        max_designs=pipeline.scale.max_front_designs,
+        max_designs=session.scale.max_front_designs,
         cache=EvaluationCache(),
         eda=True,
     )

@@ -7,13 +7,14 @@ re-evaluation of our circuits at the minimum 0.6 V EGFET supply.
 
 from __future__ import annotations
 
-from repro.experiments.fig5 import format_fig5, run_fig5
 
-
-def test_fig5_power_source_feasibility(benchmark, pipeline):
+def test_fig5_power_source_feasibility(benchmark, session):
     """Time the Fig. 5 regeneration and check the zone ordering."""
-    rows = benchmark.pedantic(lambda: run_fig5(pipeline), rounds=1, iterations=1)
-    print("\n" + format_fig5(rows))
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("fig5"), rounds=1, iterations=1
+    )
+    print("\n" + artifact.format())
+    rows = artifact.rows
 
     by_key = {(row["dataset"], row["design"]): row for row in rows}
     datasets = {row["dataset"] for row in rows}

@@ -103,9 +103,9 @@ def test_bench_batched_netlist_sweep(benchmark, verification_sweep, record_bench
     benchmark(lambda: _sweep(netlists, buses, slow=False))
 
 
-def test_bench_verify_front_end_to_end(pipeline, record_bench):
+def test_bench_verify_front_end_to_end(session, record_bench):
     """Front-wide differential verification: zero mismatches, timed."""
-    result = pipeline.approximate("breast_cancer")
+    result = session.front("breast_cancer")
     approx = result.approximate
     assert approx is not None
 
@@ -114,7 +114,7 @@ def test_bench_verify_front_end_to_end(pipeline, record_bench):
     verification = verify_front(
         approx.ga_result,
         num_vectors=64,
-        max_designs=pipeline.scale.max_front_designs,
+        max_designs=session.scale.max_front_designs,
         cache=cache,
     )
     seconds = time.perf_counter() - start
@@ -142,7 +142,7 @@ def test_bench_verify_front_end_to_end(pipeline, record_bench):
     cached = verify_front(
         approx.ga_result,
         num_vectors=64,
-        max_designs=pipeline.scale.max_front_designs,
+        max_designs=session.scale.max_front_designs,
         cache=cache,
     )
     cached_seconds = time.perf_counter() - start

@@ -1,6 +1,6 @@
 """Benchmark: warm-store query latency of the Pareto serving service.
 
-Publishes a design store from the shared benchmark pipeline once, then
+Publishes a design store from the shared benchmark session once, then
 times the full query battery (select / front / feasibility / rtl /
 points) against the warm :class:`~repro.serving.service.ParetoService`.
 The per-operation p50 latencies are recorded into ``BENCH_serving.json``
@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.experiments.session import ExperimentSession
 from repro.serving.service import ParetoService
 from repro.serving.store import DesignStore
 
@@ -30,9 +29,8 @@ BATTERY_SIZE = 32
 
 
 @pytest.fixture(scope="module")
-def store(pipeline, tmp_path_factory) -> DesignStore:
-    """A design store published from the shared benchmark pipeline."""
-    session = ExperimentSession.coerce(pipeline)
+def store(session, tmp_path_factory) -> DesignStore:
+    """A design store published from the shared benchmark session."""
     root = tmp_path_factory.mktemp("bench_store") / "store"
     session.publish(DesignStore(root))
     return DesignStore(root)

@@ -7,15 +7,16 @@ quantization + hardware analysis).
 
 from __future__ import annotations
 
-from repro.experiments.table1 import format_table1, run_table1
 
-
-def test_table1_baseline(benchmark, pipeline):
+def test_table1_baseline(benchmark, session):
     """Time the Table I regeneration and check its qualitative shape."""
-    rows = benchmark.pedantic(lambda: run_table1(pipeline), rounds=1, iterations=1)
-    print("\n" + format_table1(rows))
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("table1"), rounds=1, iterations=1
+    )
+    print("\n" + artifact.format())
+    rows = artifact.rows
 
-    assert len(rows) == len(pipeline.scale.datasets)
+    assert len(rows) == len(session.scale.datasets)
     for row in rows:
         # Baseline bespoke MLPs are large and power hungry: beyond any
         # printed battery (paper Table I: >=12 cm2 and >=40 mW).

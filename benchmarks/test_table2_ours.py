@@ -8,15 +8,16 @@ bounded accuracy loss.
 
 from __future__ import annotations
 
-from repro.experiments.table2 import format_table2, run_table2
 
-
-def test_table2_our_approximate_mlps(benchmark, pipeline):
+def test_table2_our_approximate_mlps(benchmark, session):
     """Time the Table II regeneration and check the reduction claims."""
-    rows = benchmark.pedantic(lambda: run_table2(pipeline), rounds=1, iterations=1)
-    print("\n" + format_table2(rows))
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("table2"), rounds=1, iterations=1
+    )
+    print("\n" + artifact.format())
+    rows = artifact.rows
 
-    assert len(rows) == len(pipeline.scale.datasets)
+    assert len(rows) == len(session.scale.datasets)
     for row in rows:
         # Shape of the paper's claim: every dataset sees a meaningful
         # area and power reduction (paper: >=5.3x; we require >1.5x at

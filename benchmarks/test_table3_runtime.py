@@ -8,13 +8,14 @@ than the hardware-unaware GA, and both are slower than gradient descent.
 
 from __future__ import annotations
 
-from repro.experiments.table3 import format_table3, run_table3
 
-
-def test_table3_training_execution_time(benchmark, pipeline):
+def test_table3_training_execution_time(benchmark, session):
     """Time the Table III regeneration and check the runtime ordering."""
-    rows = benchmark.pedantic(lambda: run_table3(pipeline), rounds=1, iterations=1)
-    print("\n" + format_table3(rows))
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("table3"), rounds=1, iterations=1
+    )
+    print("\n" + artifact.format())
+    rows = artifact.rows
 
     for row in rows:
         # Gradient training is the fastest flow (paper: minutes vs hours).
@@ -25,6 +26,6 @@ def test_table3_training_execution_time(benchmark, pipeline):
         assert row["ga_axc_seconds"] < 3.0 * row["ga_seconds"] + 1.0
         # Both GA flows request the same evaluation budget; the unique
         # lookup counts stay within it (in-batch duplicates are folded).
-        budget = pipeline.scale.ga_population * (pipeline.scale.ga_generations + 1)
+        budget = session.scale.ga_population * (session.scale.ga_generations + 1)
         assert 0 < row["ga_evaluations"] <= budget
         assert 0 < row["ga_axc_evaluations"] <= budget

@@ -1,11 +1,12 @@
 """Experiment harness reproducing every table and figure of the paper.
 
 The public entry point is the :class:`~repro.experiments.session.ExperimentSession`:
-each paper artifact (Table I/II/III, Fig. 4/5, the ablations) is a
-declared stage graph over typed
-:class:`~repro.evaluation.artifacts.Artifact` results, and the heavy
-per-dataset stages (gradient baseline, hardware-aware GA front, TC'23
-sweep) are memoized so experiments share them::
+it runs the per-dataset stages of the paper's Fig. 2 flow (dataset,
+gradient baseline, hardware-aware GA front, TC'23 sweep …) and memoizes
+each one, and every paper artifact (Table I/II/III, Fig. 4/5, the
+ablations) is a declared stage graph over typed
+:class:`~repro.evaluation.artifacts.Artifact` results, so experiments
+share the stages they have in common::
 
     from repro.experiments import ExperimentSession
 
@@ -27,41 +28,27 @@ Each module declares one artifact's rows:
   choices (approximation modes, doping, accuracy-loss constraint).
 
 All experiments accept an :class:`~repro.experiments.config.ExperimentScale`
-so they can run at CI-friendly budgets or at paper-scale budgets.  The
-legacy ``run_<experiment>`` entry points remain as deprecation shims
-over the session.
+so they can run at CI-friendly budgets or at paper-scale budgets.  A
+non-default budget or dataset is a direct builder call, e.g.
+``build_table2(session, max_accuracy_loss=0.01)``.
 """
 
 from repro.experiments.config import ExperimentScale, SCALES, get_scale
-from repro.experiments.pipeline import DatasetPipeline, PipelineResult
 from repro.experiments.session import (
     EXPERIMENT_DEFINITIONS,
     EXPERIMENT_ORDER,
     ExperimentDefinition,
     ExperimentSession,
+    PipelineResult,
 )
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.ablation import run_approximation_ablation, run_ga_settings_ablation
 
 __all__ = [
     "ExperimentScale",
     "SCALES",
     "get_scale",
-    "DatasetPipeline",
     "PipelineResult",
     "ExperimentSession",
     "ExperimentDefinition",
     "EXPERIMENT_DEFINITIONS",
     "EXPERIMENT_ORDER",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_fig4",
-    "run_fig5",
-    "run_approximation_ablation",
-    "run_ga_settings_ablation",
 ]

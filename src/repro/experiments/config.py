@@ -48,7 +48,7 @@ class ExperimentScale:
         Global seed (dataset generation, training, GA).
     cache_dir:
         Optional directory for disk-backed evaluation caches.  When set,
-        the pipeline loads each dataset's
+        the session loads each dataset's
         :class:`~repro.core.cache.EvaluationCache` snapshot before the
         genetic stage and saves it afterwards, so repeated runner
         invocations share fitness and synthesis work across process

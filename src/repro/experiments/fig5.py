@@ -13,15 +13,12 @@ The builder reads the session's shared ``ga_front``/``tc23`` stages
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.evaluation.report import format_rows
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
 from repro.experiments.table2 import ACCURACY_LOSS_BUDGET
 from repro.hardware.egfet import MIN_VOLTAGE
 
-__all__ = ["DISPLAY", "build_fig5", "run_fig5", "format_fig5"]
+__all__ = ["DISPLAY", "build_fig5"]
 
 #: (header, row key) pairs of the printed table.
 DISPLAY = (
@@ -63,26 +60,3 @@ def build_fig5(
             )
         )
     return rows
-
-
-def run_fig5(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-    max_accuracy_loss: float = ACCURACY_LOSS_BUDGET,
-    approximate_voltage: float = MIN_VOLTAGE,
-) -> List[Dict]:
-    """Regenerate the Fig. 5 feasibility study (deprecated shim)."""
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    if max_accuracy_loss == ACCURACY_LOSS_BUDGET and approximate_voltage == MIN_VOLTAGE:
-        return [dict(row) for row in session.artifact("fig5").rows]
-    return build_fig5(
-        session,
-        max_accuracy_loss=max_accuracy_loss,
-        approximate_voltage=approximate_voltage,
-    )
-
-
-def format_fig5(rows: List[Dict]) -> str:
-    """Render the Fig. 5 data as a text table."""
-    return format_rows(DISPLAY, rows)

@@ -2,7 +2,7 @@
 
 This module is the one-way bridge between the two halves of the system:
 it runs on the search side (it may import anything — trainers, synthesis,
-RTL generation) and converts live pipeline objects into the plain-data
+RTL generation) and converts live session stage results into the plain-data
 records of :mod:`repro.serving.store`.  Once published, every query the
 :class:`~repro.serving.service.ParetoService` answers — selection,
 fronts, feasibility, RTL retrieval, plot-ready point sets — is a pure
@@ -15,11 +15,11 @@ serving layer can hand out Verilog without importing
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.cache import EvaluationCache, stable_fingerprint
 from repro.evaluation.pareto_analysis import design_sort_name, resolve_decoded_model
-from repro.experiments.pipeline import PipelineResult
+from repro.experiments.table2 import ACCURACY_LOSS_BUDGET
 from repro.serving.store import (
     DesignRecord,
     DesignStore,
@@ -41,6 +41,9 @@ __all__ = [
     "publish_session",
 ]
 
+if TYPE_CHECKING:  # the session imports this module lazily
+    from repro.experiments.session import PipelineResult
+
 
 def _split_digest(result: PipelineResult) -> str:
     """Stable identity of the held-out test split accuracies refer to."""
@@ -48,12 +51,12 @@ def _split_digest(result: PipelineResult) -> str:
     return stable_fingerprint(repr(EvaluationCache.split_fingerprint(x_test, y_test)))
 
 
-def front_record(
-    result: PipelineResult,
-    scale,
-    default_accuracy_loss: float = 0.05,
-) -> FrontRecord:
-    """Plain-data record of one dataset's evaluated front."""
+def front_record(result: PipelineResult, scale) -> FrontRecord:
+    """Plain-data record of one dataset's evaluated front.
+
+    ``selected`` is the front stage's default operating point, chosen
+    at the Table II budget, which the record states alongside it.
+    """
     approx = result.approximate
     if approx is None:
         raise ValueError(
@@ -89,7 +92,7 @@ def front_record(
         baseline_train_accuracy=float(baseline.train_accuracy),
         baseline=ReportRecord.from_report(baseline.report),
         designs=designs,
-        default_accuracy_loss=float(default_accuracy_loss),
+        default_accuracy_loss=float(ACCURACY_LOSS_BUDGET),
         selected=design_sort_name(approx.selected) if approx.selected else None,
         training_seconds=float(approx.training_seconds),
         verification=(
@@ -107,7 +110,7 @@ def tc23_record(
 ) -> Tc23Record:
     """Plain-data record of the TC'23 comparator for one dataset.
 
-    ``tc23`` is the pipeline stage's ``(model, report, sweep)`` tuple;
+    ``tc23`` is the session stage's ``(model, report, sweep)`` tuple;
     the model's test accuracy is measured here, once, so query time
     never needs the model (or the dataset) again.
     """
@@ -136,8 +139,7 @@ def methods_record(
     query's accuracy-loss budget and is re-selected from the front
     record at query time.
     """
-    result = session.front(name, max_accuracy_loss=max_accuracy_loss)
-    x_test, y_test = result.dataset.quantized_test()
+    x_test, y_test = session.baseline(name).dataset.quantized_test()
     methods: List[MethodRecord] = []
 
     tc_model, tc_report, _ = session.tc23(name, max_accuracy_loss=max_accuracy_loss)
@@ -181,7 +183,7 @@ def methods_record(
 def rtl_records(result: PipelineResult) -> List[RTLRecord]:
     """Verilog + self-checking testbench for every evaluated front member.
 
-    Models are resolved through the pipeline's shared evaluation cache
+    Models are resolved through the front stage's shared evaluation cache
     (no re-decoding of genomes the GA already decoded); testbench
     vectors are drawn with the dataset spec's seed so the emitted text
     is deterministic.

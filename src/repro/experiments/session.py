@@ -2,13 +2,14 @@
 
 Every paper artifact (Table I/II/III, Fig. 4/5, the two ablations) is
 declared here as a **stage graph** over typed
-:class:`~repro.evaluation.artifacts.Artifact` results: dataset →
-gradient baseline → GA front → synthesis → verification → table/figure.
-The session memoizes every stage per dataset (the pipeline itself is
-already per ``(scale, seed)``), so experiments that share a stage share
-its output — running ``table2``, ``table3``, ``fig4`` and ``fig5`` in
-one session trains the per-dataset gradient baseline and the
-hardware-aware GA front **exactly once**, instead of once per artifact:
+:class:`~repro.evaluation.artifacts.Artifact` results, in the order of
+the paper's Fig. 2 flow: dataset → gradient baseline → GA front →
+synthesis → verification → table/figure.  The session runs every stage
+itself and memoizes each one per dataset in one memo, so experiments
+that share a stage share its output — running ``table2``, ``table3``,
+``fig4`` and ``fig5`` in one session trains the per-dataset gradient
+baseline and the hardware-aware GA front **exactly once**, instead of
+once per artifact:
 
 * ``table2``/``fig4``/``fig5`` read the same trained front;
 * ``table3`` reports the *timings* of the stages the session already
@@ -19,46 +20,72 @@ hardware-aware GA front **exactly once**, instead of once per artifact:
 
 Programmatic use::
 
+    import dataclasses
+    from repro.experiments.config import get_scale
     from repro.experiments.session import ExperimentSession
 
-    session = ExperimentSession("smoke", cache_dir=".repro-cache")
+    scale = dataclasses.replace(get_scale("smoke"), cache_dir=".repro-cache")
+    session = ExperimentSession(scale)
     artifacts = session.run(["table2", "fig4"])   # {name: Artifact}
     print(artifacts["table2"].format())           # text table
     artifacts["table2"].save("out/")              # table2.json + table2.csv
 
 Stage outputs that are expensive to recompute (fitness values, test
 accuracies, hardware reports, RTL verification results) persist through
-the session's :class:`~repro.core.cache.EvaluationCache` when a
-``cache_dir`` is set — the same disk snapshots ``runner.py --cache-dir``
-uses — so a second session over the same directory replays the heavy
-stages from disk.  Per-dataset stages can run in parallel
-(:meth:`ExperimentSession.prefetch` / ``dataset_workers``): datasets are
-independent, so their baseline + GA stages are warmed concurrently and
-the experiment builders then read memoized results.
-
-The legacy ``run_<experiment>`` / ``format_<experiment>`` entry points
-remain as deprecation shims delegating to this session.
+each dataset's :class:`~repro.core.cache.EvaluationCache` when the
+scale's ``cache_dir`` is set — the same disk snapshots ``runner.py
+--cache-dir`` uses — so a second session over the same directory
+replays the heavy stages from disk.  Per-dataset stages can run in
+parallel (:meth:`ExperimentSession.prefetch` / the scale's
+``dataset_workers``): datasets are independent, so their baseline + GA
+stages are warmed concurrently and the experiment builders then read
+memoized results.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.islands import make_trainer
-from repro.core.trainer import GAConfig, GAResult, GATrainer
+from repro.baselines.approx_tc23 import explore_tc23
+from repro.baselines.exact_bespoke import BespokeMLP, train_exact_baseline
+from repro.baselines.gradient import FloatMLP, GradientTrainer
+from repro.core.cache import EvaluationCache, SnapshotPolicy
+from repro.core.islands import IslandGATrainer, make_trainer
+from repro.core.trainer import GAConfig, GAResult
+from repro.datasets.dataset import Dataset
+from repro.datasets.registry import DatasetSpec, get_spec, load_dataset
 from repro.evaluation.artifacts import Artifact
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline, PipelineResult
+from repro.evaluation.pareto_analysis import (
+    EvaluatedDesign,
+    evaluate_front,
+    select_design,
+    true_pareto_front,
+)
+from repro.evaluation.verification import FrontVerification, verify_front
+from repro.experiments import ablation as _ablation
+from repro.experiments import fig4 as _fig4
+from repro.experiments import fig5 as _fig5
+from repro.experiments import table1 as _table1
+from repro.experiments import table2 as _table2
+from repro.experiments import table3 as _table3
+from repro.experiments.config import ExperimentScale, get_scale
+from repro.hardware.synthesis import HardwareReport
 
 __all__ = [
     "EXPERIMENT_ORDER",
     "EXPERIMENT_DEFINITIONS",
     "ExperimentDefinition",
     "ExperimentSession",
+    "BaselineResult",
+    "ApproximateResult",
+    "PipelineResult",
 ]
 
 #: Canonical execution/printing order of the experiments.
@@ -71,6 +98,57 @@ EXPERIMENT_ORDER: Tuple[str, ...] = (
     "ablation_approx",
     "ablation_ga",
 )
+
+
+@dataclass
+class BaselineResult:
+    """Exact bespoke baseline for one dataset."""
+
+    bespoke: BespokeMLP
+    float_model: FloatMLP
+    test_accuracy: float
+    train_accuracy: float
+    report: HardwareReport
+    training_seconds: float
+
+
+@dataclass
+class ApproximateResult:
+    """Our genetically trained approximate MLP for one dataset."""
+
+    ga_result: GAResult
+    designs: List[EvaluatedDesign]
+    #: Smallest-area design within the Table II accuracy-loss budget
+    #: (``table2.ACCURACY_LOSS_BUDGET``).
+    selected: Optional[EvaluatedDesign]
+    training_seconds: float
+    #: Evaluation cache shared between the GA, front-synthesis and
+    #: reporting stages (decoded models, accuracies, hardware reports).
+    cache: Optional[EvaluationCache] = None
+    #: Front-wide model/netlist/RTL differential verification; only
+    #: populated when the scale (or ``runner.py --verify-rtl``) asks
+    #: for it.
+    verification: Optional[FrontVerification] = None
+
+    @property
+    def true_front(self) -> List[EvaluatedDesign]:
+        """Non-dominated designs after hardware analysis."""
+        return true_pareto_front(self.designs)
+
+
+@dataclass
+class PipelineResult:
+    """One dataset's pass through the Fig. 2 flow, as far as it went.
+
+    The ``baseline`` stage returns it with ``approximate=None``; the
+    ``front`` stage returns a *new* result carrying the GA front, so a
+    memoized baseline never changes after another stage runs.
+    """
+
+    spec: DatasetSpec
+    dataset: Dataset
+    baseline: BaselineResult
+    approximate: Optional[ApproximateResult] = None
 
 
 @dataclass(frozen=True)
@@ -94,66 +172,27 @@ class ExperimentDefinition:
 
 
 class ExperimentSession:
-    """Runs experiments as memoized stage graphs over one shared pipeline.
+    """Runs experiments as memoized stage graphs at one experiment scale.
 
     Parameters
     ----------
     scale:
-        Experiment scale (name or :class:`ExperimentScale`).
-    cache_dir:
-        Optional directory for disk-backed evaluation-cache snapshots
-        (overrides ``scale.cache_dir``); stage outputs persist across
-        sessions through it.
-    pipeline:
-        Use an existing :class:`DatasetPipeline` instead of building one
-        (the deprecation shims route through this so legacy callers keep
-        their pipeline's memoized stages).
+        Experiment scale (name or :class:`ExperimentScale`).  Its
+        ``cache_dir`` (if any) holds the per-dataset evaluation-cache
+        snapshots through which stage outputs persist across sessions.
     """
 
-    def __init__(
-        self,
-        scale: Union[ExperimentScale, str] = "ci",
-        cache_dir: Optional[Union[str, Path]] = None,
-        *,
-        pipeline: Optional[DatasetPipeline] = None,
-    ) -> None:
-        if pipeline is None:
-            pipeline = DatasetPipeline(scale, cache_dir=cache_dir)
-        self.pipeline = pipeline
-        self.scale = pipeline.scale
+    def __init__(self, scale: Union[ExperimentScale, str] = "ci") -> None:
+        self.scale = get_scale(scale) if isinstance(scale, str) else scale
         self._artifacts: Dict[str, Artifact] = {}
         self._stages: Dict[tuple, object] = {}
         self._stage_runs: Dict[tuple, int] = {}
+        #: Per-dataset disk-cache traffic: entries loaded/saved per run.
+        self._cache_io: Dict[str, Dict[str, int]] = {}
         self._registry_lock = threading.Lock()
         # Reentrant: stages nest (ga_plain -> front -> baseline all take
         # the same dataset's lock on one thread).
         self._dataset_locks: Dict[str, threading.RLock] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_pipeline(cls, pipeline: DatasetPipeline) -> "ExperimentSession":
-        """The session attached to ``pipeline`` (created on first use).
-
-        Repeated calls with the same pipeline return the same session,
-        so legacy ``run_<experiment>(pipeline)`` callers sharing one
-        pipeline also share every memoized stage and artifact.
-        """
-        session = getattr(pipeline, "_session", None)
-        if session is None:
-            session = cls(pipeline=pipeline)
-            pipeline._session = session
-        return session
-
-    @classmethod
-    def coerce(
-        cls, source: Union["ExperimentSession", DatasetPipeline, ExperimentScale, str]
-    ) -> "ExperimentSession":
-        """Session from whatever the legacy entry points accepted."""
-        if isinstance(source, ExperimentSession):
-            return source
-        if isinstance(source, DatasetPipeline):
-            return cls.from_pipeline(source)
-        return cls(scale=source)
 
     # ------------------------------------------------------------------
     # Stage memoization
@@ -176,10 +215,70 @@ class ExperimentSession:
             self._stage_runs[key] = self._stage_runs.get(key, 0) + 1
         return value
 
+    def _memoized(self, stage: str) -> List[Tuple[str, object]]:
+        """``(dataset, value)`` of every memoized run of one stage."""
+        with self._registry_lock:
+            return [
+                (key[1], value)
+                for key, value in self._stages.items()
+                if key[0] == stage
+            ]
+
     def stage_counts(self) -> Dict[tuple, int]:
         """How many times each stage actually executed (for tests/logs)."""
         with self._registry_lock:
             return dict(self._stage_runs)
+
+    # ------------------------------------------------------------------
+    # GA budget and evaluation-cache snapshots
+    # ------------------------------------------------------------------
+    @cached_property
+    def _ga_config(self) -> GAConfig:
+        """The scale's GA budget, shared by the ``front`` and ``ga_plain`` stages."""
+        scale = self.scale
+        return GAConfig(
+            population_size=scale.ga_population,
+            generations=scale.ga_generations,
+            seed=scale.seed,
+            n_workers=scale.ga_workers,
+            n_islands=scale.ga_islands,
+            migration_interval=scale.ga_migration_interval,
+            migration_size=scale.ga_migration_size,
+        )
+
+    def _snapshot_path(self, spec_name: str) -> Optional[Path]:
+        """Disk location of one dataset's evaluation-cache snapshot."""
+        if self.scale.cache_dir is None:
+            return None
+        return Path(self.scale.cache_dir) / f"{spec_name}.cache.pkl"
+
+    @property
+    def snapshot_policy(self) -> Optional[SnapshotPolicy]:
+        """Compaction policy applied whenever a snapshot is saved."""
+        scale = self.scale
+        if scale.cache_max_age_days is None and scale.cache_max_snapshot_bytes is None:
+            return None
+        return SnapshotPolicy(
+            max_age_seconds=(
+                None
+                if scale.cache_max_age_days is None
+                else scale.cache_max_age_days * 86400.0
+            ),
+            max_total_bytes=scale.cache_max_snapshot_bytes,
+        )
+
+    def _persist_cache(self, spec_name: str, cache: EvaluationCache) -> None:
+        """Save (compacted) a dataset's evaluation cache to its snapshot.
+
+        The ``front`` stage calls this after the GA, front synthesis and
+        verification; ``ga_plain`` calls it again to fold its entries
+        into the same per-dataset snapshot.
+        """
+        snapshot = self._snapshot_path(spec_name)
+        if snapshot is None:
+            return
+        saved = cache.save(snapshot, policy=self.snapshot_policy)
+        self._cache_io.setdefault(spec_name, {"loaded": 0, "saved": 0})["saved"] = saved
 
     # ------------------------------------------------------------------
     # Stages
@@ -188,38 +287,146 @@ class ExperimentSession:
         """Dataset + gradient-trained exact bespoke baseline (stage 1–2)."""
         with self._dataset_lock(name):
             return self._run_stage(
-                ("gradient_baseline", name), lambda: self.pipeline.dataset(name)
+                ("gradient_baseline", name), lambda: self._build_baseline(name)
             )
 
-    def front(self, name: str, max_accuracy_loss: float = 0.05) -> PipelineResult:
+    def _build_baseline(self, name: str) -> PipelineResult:
+        scale = self.scale
+        spec = get_spec(name)
+        dataset = load_dataset(name, seed=scale.seed, num_samples=scale.max_samples)
+        trainer = GradientTrainer(
+            epochs=scale.gradient_epochs,
+            restarts=scale.gradient_restarts,
+            seed=scale.seed,
+        )
+        start = time.perf_counter()
+        bespoke, float_model = train_exact_baseline(
+            dataset.train.features, dataset.train.labels, spec.mlp_topology, trainer=trainer
+        )
+        elapsed = time.perf_counter() - start
+        x_train, y_train = dataset.quantized_train()
+        x_test, y_test = dataset.quantized_test()
+        baseline = BaselineResult(
+            bespoke=bespoke,
+            float_model=float_model,
+            test_accuracy=bespoke.accuracy(x_test, y_test),
+            train_accuracy=bespoke.accuracy(x_train, y_train),
+            report=bespoke.synthesize(clock_period_ms=spec.clock_period_ms),
+            training_seconds=elapsed,
+        )
+        return PipelineResult(spec=spec, dataset=dataset, baseline=baseline)
+
+    def front(self, name: str) -> PipelineResult:
         """Hardware-aware GA training + front synthesis (stage 3).
 
         This is the expensive shared stage: ``table2``, ``table3``
         (GA-AxC column), ``fig4``, ``fig5`` and the ablations' identity
-        variants all read this one result.  The GA trains once per
-        dataset regardless of ``max_accuracy_loss`` — the loss only
-        parameterizes the *default* operating-point selection baked into
-        the result on first build (mirroring
-        :meth:`DatasetPipeline.approximate`); experiment builders with a
-        non-default budget re-select from the memoized front with
+        variants all read this one result.  Its default operating point
+        (``approximate.selected``) is always chosen at the Table II
+        budget, whichever stage asks first; experiment builders with
+        another budget re-select from the memoized front with
         :func:`~repro.evaluation.pareto_analysis.select_design`, which
         is cheap and pure.
         """
         with self._dataset_lock(name):
-            return self._run_stage(
-                ("ga_front", name),
-                lambda: self.pipeline.approximate(
-                    name, max_accuracy_loss=max_accuracy_loss
-                ),
+            return self._run_stage(("ga_front", name), lambda: self._train_front(name))
+
+    def _train_front(self, name: str) -> PipelineResult:
+        result = self.baseline(name)
+        scale = self.scale
+        spec = result.spec
+        x_train, y_train = result.dataset.quantized_train()
+        x_test, y_test = result.dataset.quantized_test()
+
+        trainer = make_trainer(spec.mlp_topology, ga_config=self._ga_config)
+        # One evaluation cache spans the GA, front-synthesis and
+        # reporting stages: the GA's front members are decoded once
+        # and never again downstream, and every hardware report is
+        # synthesized at most once per operating point.  With a cache
+        # directory it also spans *runs*: the previous invocation's
+        # fitness/accuracy/report entries are restored before the GA
+        # starts, and the merged cache is snapshotted afterwards.
+        cache = EvaluationCache()
+        snapshot = self._snapshot_path(spec.name)
+        loaded = cache.load(snapshot) if snapshot is not None else 0
+        train_kwargs = dict(
+            baseline_accuracy=result.baseline.train_accuracy,
+            seed_model=result.baseline.float_model,
+            cache=cache,
+        )
+        if isinstance(trainer, IslandGATrainer) and scale.cache_dir is not None:
+            # Island workers pool fitness values through a shared
+            # segment directory next to the snapshot; the coordinator
+            # seeds it from the loaded snapshot and merges it back into
+            # `cache` before the snapshot is saved below.
+            train_kwargs["pool_dir"] = Path(scale.cache_dir) / f"{spec.name}.pool"
+        start = time.perf_counter()
+        ga_result = trainer.train(x_train, y_train, **train_kwargs)
+        elapsed = time.perf_counter() - start
+
+        designs = evaluate_front(
+            ga_result,
+            x_test,
+            y_test,
+            clock_period_ms=spec.clock_period_ms,
+            max_designs=scale.max_front_designs,
+            cache=cache,
+        )
+        selected = select_design(
+            designs,
+            baseline_accuracy=result.baseline.test_accuracy,
+            max_accuracy_loss=_table2.ACCURACY_LOSS_BUDGET,
+        )
+        verification = None
+        if scale.verify_rtl or scale.verify_eda:
+            # Differential sign-off of the synthesized front: Python
+            # model vs. gate-level netlist vs. RTL testbench golden
+            # vectors (plus, with verify_eda, the module text executed
+            # as Verilog), one batched pass per design.  Shares the same
+            # cache, so a second run (or a disk snapshot) serves the
+            # verification results without re-simulating.
+            verification = verify_front(
+                ga_result,
+                num_vectors=scale.verify_vectors,
+                seed=scale.seed if scale.verify_seed is None else scale.verify_seed,
+                max_designs=scale.max_front_designs,
+                cache=cache,
+                eda=scale.verify_eda,
             )
+        if snapshot is not None:
+            self._cache_io[spec.name] = {"loaded": loaded, "saved": 0}
+            self._persist_cache(spec.name, cache)
+        approximate = ApproximateResult(
+            ga_result=ga_result,
+            designs=designs,
+            selected=selected,
+            training_seconds=elapsed,
+            cache=cache,
+            verification=verification,
+        )
+        return dataclasses.replace(result, approximate=approximate)
 
     def tc23(self, name: str, max_accuracy_loss: float = 0.05):
-        """TC'23 post-training sweep (shared by ``fig4`` and ``fig5``)."""
-        with self._dataset_lock(name):
-            return self._run_stage(
-                ("tc23", name, max_accuracy_loss),
-                lambda: self.pipeline.tc23(name, max_accuracy_loss=max_accuracy_loss),
+        """TC'23 post-training sweep (shared by ``fig4`` and ``fig5``).
+
+        Returns ``(model, report, sweep)``; both figures read one
+        memoized sweep, so its circuits are synthesized once per run.
+        """
+
+        def build():
+            result = self.baseline(name)
+            x_test, y_test = result.dataset.quantized_test()
+            return explore_tc23(
+                result.baseline.bespoke,
+                x_test,
+                y_test,
+                baseline_accuracy=result.baseline.test_accuracy,
+                max_accuracy_loss=max_accuracy_loss,
+                clock_period_ms=result.spec.clock_period_ms,
             )
+
+        with self._dataset_lock(name):
+            return self._run_stage(("tc23", name, max_accuracy_loss), build)
 
     def vos(self, name: str, max_accuracy_loss: float = 0.05):
         """TCAD'23 cross-approximation + VOS exploration (``fig4``)."""
@@ -280,20 +487,11 @@ class ExperimentSession:
             approx = result.approximate
             assert approx is not None
             x_train, y_train = result.dataset.quantized_train()
-            config = GAConfig(
-                population_size=self.scale.ga_population,
-                generations=self.scale.ga_generations,
-                seed=self.scale.seed,
-                n_workers=self.scale.ga_workers,
-                n_islands=self.scale.ga_islands,
-                migration_interval=self.scale.ga_migration_interval,
-                migration_size=self.scale.ga_migration_size,
-            )
-            trainer = make_trainer(result.spec.mlp_topology, ga_config=config)
+            trainer = make_trainer(result.spec.mlp_topology, ga_config=self._ga_config)
             ga_result = trainer.train(
                 x_train, y_train, area_objective=False, cache=approx.cache
             )
-            self.pipeline.persist_cache(result.spec.name, approx.cache)
+            self._persist_cache(result.spec.name, approx.cache)
             return ga_result
 
         with self._dataset_lock(name):
@@ -365,7 +563,7 @@ class ExperimentSession:
     ):
         """Joined :class:`~repro.serving.store.DatasetRecord` view.
 
-        The thin experiment builders read this instead of live pipeline
+        The thin experiment builders read this instead of live stage
         objects, so a figure built in-session and one answered from a
         warm store go through the *same* pure query code.
         """
@@ -423,7 +621,6 @@ class ExperimentSession:
         self,
         experiments: Union[None, str, Sequence[str]] = None,
         export_dir: Optional[Union[str, Path]] = None,
-        dataset_workers: Optional[int] = None,
         store_dir: Optional[Union[str, Path]] = None,
     ) -> Dict[str, Artifact]:
         """Run experiments and return their artifacts, in canonical order.
@@ -439,17 +636,16 @@ class ExperimentSession:
             additionally export plot-ready ``<experiment>_points`` sets,
             and the serving design store is published under
             ``<export_dir>/store`` (unless ``store_dir`` overrides it).
-        dataset_workers:
-            Warm the per-dataset heavy stages in this many threads
-            before building artifacts (default: the scale's
-            ``dataset_workers``).  Datasets are independent, so their
-            baseline + GA stages parallelize cleanly; experiment
-            builders then read memoized results.
         store_dir:
             Explicit serving-store directory; everything query time
             needs (fronts, baselines, comparators, RTL) is published
             there so ``python -m repro.serving`` can answer without
             re-running any search stage.
+
+        With the scale's ``dataset_workers`` above 1, the per-dataset
+        heavy stages are first warmed in that many threads.  Datasets
+        are independent, so their baseline + GA stages parallelize
+        cleanly; experiment builders then read memoized results.
         """
         if experiments is None or experiments == "all":
             names = list(EXPERIMENT_ORDER)
@@ -464,10 +660,8 @@ class ExperimentSession:
                 )
         names.sort(key=EXPERIMENT_ORDER.index)
 
-        workers = (
-            self.scale.dataset_workers if dataset_workers is None else dataset_workers
-        )
-        if workers and workers > 1:
+        workers = self.scale.dataset_workers
+        if workers > 1:
             front_targets, baseline_targets = self._prefetch_plan(names)
             if front_targets or baseline_targets:
                 self.prefetch(
@@ -575,15 +769,42 @@ class ExperimentSession:
             list(pool.map(lambda task: task[0](task[1]), tasks))
 
     # ------------------------------------------------------------------
-    # Summaries (delegated to the pipeline)
+    # Summaries
     # ------------------------------------------------------------------
-    def cache_summary(self):
-        """Per-dataset fitness-cache hit rates and snapshot traffic."""
-        return self.pipeline.cache_summary()
+    def cache_summary(self) -> Dict[str, Dict[str, float]]:
+        """Per-dataset fitness-cache hit rates and disk-snapshot traffic.
 
-    def verification_summary(self):
-        """Per-dataset RTL-verification results (``verify_rtl`` runs)."""
-        return self.pipeline.verification_summary()
+        ``hit_rate`` is the GA front stage's unique-lookup hit rate
+        (hits / evaluations); on a second identical run against the same
+        ``cache_dir`` it approaches 1.0 because every genome's fitness
+        was restored from disk.  ``loaded``/``saved`` count snapshot
+        entries read before and written after the genetic stages.
+        """
+        summary: Dict[str, Dict[str, float]] = {}
+        for name, result in self._memoized("ga_front"):
+            history = result.approximate.ga_result.history
+            if not history:
+                continue
+            last = history[-1]
+            # _cache_io is keyed by the canonical spec name, which may
+            # differ from the caller-supplied alias keying the stages.
+            io = self._cache_io.get(result.spec.name, {})
+            summary[name] = {
+                "evaluations": last.evaluations,
+                "cache_hits": last.cache_hits,
+                "hit_rate": last.cache_hit_rate,
+                "loaded": io.get("loaded", 0),
+                "saved": io.get("saved", 0),
+            }
+        return summary
+
+    def verification_summary(self) -> Dict[str, FrontVerification]:
+        """Per-dataset front verification results (``verify_rtl`` runs only)."""
+        return {
+            name: result.approximate.verification
+            for name, result in self._memoized("ga_front")
+            if result.approximate.verification is not None
+        }
 
     def describe(self) -> str:
         """Human-readable summary of the declared stage graphs."""
@@ -596,17 +817,8 @@ class ExperimentSession:
 
 
 # ----------------------------------------------------------------------
-# Registry (populated from the experiment modules' builders; imported
-# late so the modules' deprecation shims can import this module lazily
-# without a cycle at package-import time).
+# Registry (populated from the experiment modules' builders)
 # ----------------------------------------------------------------------
-from repro.experiments import ablation as _ablation  # noqa: E402
-from repro.experiments import fig4 as _fig4  # noqa: E402
-from repro.experiments import fig5 as _fig5  # noqa: E402
-from repro.experiments import table1 as _table1  # noqa: E402
-from repro.experiments import table2 as _table2  # noqa: E402
-from repro.experiments import table3 as _table3  # noqa: E402
-
 EXPERIMENT_DEFINITIONS: Dict[str, ExperimentDefinition] = {
     "table1": ExperimentDefinition(
         name="table1",

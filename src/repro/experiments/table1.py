@@ -5,21 +5,16 @@ count, test accuracy and synthesized area/power of the exact bespoke
 design (8-bit fixed-point weights, 4-bit inputs), alongside the values
 the paper reports for reference.
 
-The row builder (:func:`build_table1`) reads the session's shared
-``gradient_baseline`` stage; :func:`run_table1` / :func:`format_table1`
-remain as deprecation shims over
+The row builder (:func:`build_table1`) reads the shared
+``gradient_baseline`` stage of
 :class:`~repro.experiments.session.ExperimentSession`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.evaluation.report import format_rows
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
-
-__all__ = ["DISPLAY", "build_table1", "run_table1", "format_table1"]
+__all__ = ["DISPLAY", "build_table1"]
 
 #: (header, row key) pairs of the printed table.
 DISPLAY = (
@@ -56,21 +51,3 @@ def build_table1(session) -> List[Dict]:
             }
         )
     return rows
-
-
-def run_table1(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-) -> List[Dict]:
-    """Regenerate Table I (deprecated shim; use the session API).
-
-    Returns one row per dataset with measured and paper-reported values.
-    """
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    return [dict(row) for row in session.artifact("table1").rows]
-
-
-def format_table1(rows: List[Dict]) -> str:
-    """Render Table I rows as a text table."""
-    return format_rows(DISPLAY, rows)

@@ -8,18 +8,13 @@ area, power and the reduction factors against the exact baseline.
 The row builder (:func:`build_table2`) reads the session's shared
 ``ga_front`` stage — the same trained front ``fig4``/``fig5``/``table3``
 consume — so ``--experiment all`` trains it once per dataset.
-:func:`run_table2` / :func:`format_table2` remain as deprecation shims.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.evaluation.report import format_rows
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
-
-__all__ = ["DISPLAY", "build_table2", "run_table2", "format_table2"]
+__all__ = ["DISPLAY", "build_table2"]
 
 #: Accuracy-loss budget used by the paper's Table II.
 ACCURACY_LOSS_BUDGET = 0.05
@@ -92,21 +87,3 @@ def build_table2(
             }
         )
     return rows
-
-
-def run_table2(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-    max_accuracy_loss: float = ACCURACY_LOSS_BUDGET,
-) -> List[Dict]:
-    """Regenerate Table II (deprecated shim; use the session API)."""
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    if max_accuracy_loss == ACCURACY_LOSS_BUDGET:
-        return [dict(row) for row in session.artifact("table2").rows]
-    return build_table2(session, max_accuracy_loss=max_accuracy_loss)
-
-
-def format_table2(rows: List[Dict]) -> str:
-    """Render Table II rows as a text table."""
-    return format_rows(DISPLAY, rows)

@@ -25,13 +25,9 @@ stage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.evaluation.report import format_rows
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
-
-__all__ = ["DISPLAY", "build_table3", "run_table3", "format_table3"]
+__all__ = ["DISPLAY", "build_table3"]
 
 #: Paper-reported execution times in minutes (grad, GA, GA-AxC).
 PAPER_TABLE3: Dict[str, tuple] = {
@@ -76,18 +72,3 @@ def build_table3(session) -> List[Dict]:
             }
         )
     return rows
-
-
-def run_table3(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-) -> List[Dict]:
-    """Regenerate Table III (deprecated shim; use the session API)."""
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    return [dict(row) for row in session.artifact("table3").rows]
-
-
-def format_table3(rows: List[Dict]) -> str:
-    """Render Table III rows as a text table."""
-    return format_rows(DISPLAY, rows)

@@ -1,4 +1,4 @@
-"""Tests of the disk-backed evaluation cache (save/load + pipeline wiring).
+"""Tests of the disk-backed evaluation cache (save/load + session wiring).
 
 Covers the snapshot format (versioning, atomic writes, LRU-order
 preservation), the corruption tolerance of :meth:`EvaluationCache.load`,
@@ -10,13 +10,14 @@ served almost entirely (> 90 %) from the fitness cache.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.cache import CACHE_FORMAT_VERSION, CachePool, EvaluationCache, SnapshotPolicy
 from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
+from repro.experiments.session import ExperimentSession
 
 
 class TestSnapshotRoundTrip:
@@ -174,7 +175,7 @@ class TestSnapshotCompaction:
             SnapshotPolicy(max_total_bytes=0)
 
     def test_pipeline_scale_policy_reaches_save(self, tmp_path):
-        """The scale's compaction knobs become the pipeline's policy."""
+        """The scale's compaction knobs become the session's policy."""
         scale = ExperimentScale(
             name="tiny-policy",
             datasets=("breast_cancer",),
@@ -182,12 +183,11 @@ class TestSnapshotCompaction:
             cache_max_age_days=7.0,
             cache_max_snapshot_bytes=123_456,
         )
-        pipeline = DatasetPipeline(scale)
-        policy = pipeline.snapshot_policy
+        policy = ExperimentSession(scale).snapshot_policy
         assert policy == SnapshotPolicy(
             max_age_seconds=7.0 * 86400.0, max_total_bytes=123_456
         )
-        diskless = DatasetPipeline(
+        diskless = ExperimentSession(
             ExperimentScale(name="no-policy", cache_max_age_days=None)
         )
         assert diskless.snapshot_policy is None
@@ -419,15 +419,16 @@ class TestPipelinePersistence:
         """The acceptance criterion: an identical second run against the
         same cache directory reports > 90 % fitness-cache hit rate and
         reproduces the same designs."""
-        first = DatasetPipeline(TINY, cache_dir=tmp_path)
-        first_result = first.approximate("breast_cancer")
+        scale = replace(TINY, cache_dir=str(tmp_path))
+        first = ExperimentSession(scale)
+        first_result = first.front("breast_cancer")
         first_summary = first.cache_summary()["breast_cancer"]
         assert first_summary["loaded"] == 0
         assert first_summary["saved"] > 0
         assert (tmp_path / "breast_cancer.cache.pkl").exists()
 
-        second = DatasetPipeline(TINY, cache_dir=tmp_path)
-        second_result = second.approximate("breast_cancer")
+        second = ExperimentSession(scale)
+        second_result = second.front("breast_cancer")
         second_summary = second.cache_summary()["breast_cancer"]
         assert second_summary["loaded"] == first_summary["saved"]
         assert second_summary["hit_rate"] > 0.9
@@ -461,17 +462,16 @@ class TestPipelinePersistence:
             seed=0,
             cache_dir=str(tmp_path / "from-scale"),
         )
-        pipeline = DatasetPipeline(scale)
-        pipeline.approximate("breast_cancer")
+        ExperimentSession(scale).front("breast_cancer")
         assert (tmp_path / "from-scale" / "breast_cancer.cache.pkl").exists()
 
     def test_no_cache_dir_keeps_pipeline_diskless(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        pipeline = DatasetPipeline(TINY)
-        assert pipeline.cache_dir is None
-        pipeline.approximate("breast_cancer")
+        session = ExperimentSession(TINY)
+        assert session.scale.cache_dir is None
+        session.front("breast_cancer")
         assert list(tmp_path.iterdir()) == []  # nothing written anywhere
-        assert pipeline.cache_summary()["breast_cancer"]["loaded"] == 0
+        assert session.cache_summary()["breast_cancer"]["loaded"] == 0
 
 
 class TestRunnerFlag:

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.pipeline import DatasetPipeline
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table2 import format_table2, run_table2
-from repro.experiments.table3 import run_table3
+from repro.experiments.session import ExperimentSession
 
 TINY = ExperimentScale(
     name="tiny",
@@ -32,8 +27,8 @@ TINY = ExperimentScale(
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    return DatasetPipeline(TINY)
+def session():
+    return ExperimentSession(TINY)
 
 
 class TestScales:
@@ -46,19 +41,19 @@ class TestScales:
 
 
 class TestPipeline:
-    def test_baseline_stage(self, pipeline):
-        result = pipeline.dataset("breast_cancer")
+    def test_baseline_stage(self, session):
+        result = session.baseline("breast_cancer")
         assert result.baseline.test_accuracy > 0.85
         assert result.baseline.report.area_cm2 > 1.0
         assert result.approximate is None
 
-    def test_caching(self, pipeline):
-        first = pipeline.dataset("breast_cancer")
-        second = pipeline.dataset("breast_cancer")
+    def test_caching(self, session):
+        first = session.baseline("breast_cancer")
+        second = session.baseline("breast_cancer")
         assert first is second
 
-    def test_approximate_stage(self, pipeline):
-        result = pipeline.approximate("breast_cancer")
+    def test_approximate_stage(self, session):
+        result = session.front("breast_cancer")
         approx = result.approximate
         assert approx is not None
         assert approx.selected is not None
@@ -66,34 +61,67 @@ class TestPipeline:
         assert len(approx.true_front) >= 1
 
 
+class TestStageMemo:
+    """A memoized stage result never depends on which stage ran first."""
+
+    def test_front_selection_ignores_earlier_comparator_budget(self):
+        from dataclasses import replace
+
+        from repro.evaluation.pareto_analysis import design_sort_name, select_design
+        from repro.experiments.table2 import ACCURACY_LOSS_BUDGET
+
+        scale = replace(TINY, seed=1)
+        fresh = ExperimentSession(scale).front_record("breast_cancer")
+        session = ExperimentSession(scale)
+        session.methods_record("breast_cancer", max_accuracy_loss=0.01)
+        assert session.front_record("breast_cancer").selected == fresh.selected
+        result = session.front("breast_cancer")
+        expected = select_design(
+            result.approximate.designs,
+            baseline_accuracy=result.baseline.test_accuracy,
+            max_accuracy_loss=ACCURACY_LOSS_BUDGET,
+        )
+        assert fresh.selected == design_sort_name(expected)
+
+    def test_front_stage_leaves_baseline_result_unchanged(self):
+        session = ExperimentSession(TINY)
+        baseline = session.baseline("breast_cancer")
+        front = session.front("breast_cancer")
+        assert front.approximate is not None
+        assert session.baseline("breast_cancer") is baseline
+        assert baseline.approximate is None
+        assert front.baseline is baseline.baseline
+
+
 class TestTable1:
-    def test_rows_and_formatting(self, pipeline):
-        rows = run_table1(pipeline)
+    def test_rows_and_formatting(self, session):
+        artifact = session.artifact("table1")
+        rows = artifact.rows
         assert len(rows) == 1
         row = rows[0]
         assert row["topology"] == "(10, 3, 2)"
         assert row["accuracy"] > 0.85
         assert row["area_cm2"] > 0
-        text = format_table1(rows)
+        text = artifact.format()
         assert "breast_cancer" in text
 
 
 class TestTable2:
-    def test_reduction_factors_exceed_one(self, pipeline):
-        rows = run_table2(pipeline)
-        row = rows[0]
+    def test_reduction_factors_exceed_one(self, session):
+        artifact = session.artifact("table2")
+        row = artifact.rows[0]
         # The headline claim: the approximate MLP is smaller and less
         # power hungry than the exact baseline within the 5% loss budget
         # (the paper reports >5x; at the tiny CI budget we require >1.5x).
         assert row["area_reduction"] > 1.5
         assert row["power_reduction"] > 1.5
         assert row["accuracy"] >= row["baseline_accuracy"] - 0.07
-        assert "breast_cancer" in format_table2(rows)
+        assert "breast_cancer" in artifact.format()
 
 
 class TestFig4:
-    def test_methods_present_and_ours_beats_baseline(self, pipeline):
-        rows = run_fig4(pipeline)
+    def test_methods_present_and_ours_beats_baseline(self, session):
+        rows = session.artifact("fig4").rows
         methods = {row["method"] for row in rows}
         assert {"ours", "tc23", "date21"}.issubset(methods)
         ours = next(row for row in rows if row["method"] == "ours")
@@ -105,8 +133,8 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_voltage_scaling_moves_to_smaller_source(self, pipeline):
-        rows = run_fig5(pipeline)
+    def test_voltage_scaling_moves_to_smaller_source(self, session):
+        rows = session.artifact("fig5").rows
         ours = next(row for row in rows if row["design"] == "ours")
         ours_low = next(row for row in rows if row["design"] == "ours_0v6")
         baseline = next(row for row in rows if row["design"] == "baseline_micro20")
@@ -116,13 +144,12 @@ class TestFig5:
 
 
 class TestTable3:
-    def test_gradient_faster_than_ga(self, pipeline):
-        rows = run_table3(pipeline)
-        row = rows[0]
+    def test_gradient_faster_than_ga(self, session):
+        row = session.artifact("table3").rows[0]
         assert row["grad_seconds"] < row["ga_seconds"]
         # Both GA flows request the same evaluation budget; the unique
         # lookup counts stay within it (in-batch duplicates are folded).
-        budget = pipeline.scale.ga_population * (pipeline.scale.ga_generations + 1)
+        budget = session.scale.ga_population * (session.scale.ga_generations + 1)
         assert 0 < row["ga_evaluations"] <= budget
         assert 0 < row["ga_axc_evaluations"] <= budget
         # GA-AxC should not be drastically slower than the plain GA.

@@ -12,7 +12,7 @@ Three layers of guarantees, mirroring the repo's vectorization pattern
   vectors;
 * the ``verify_front`` harness reports zero model/netlist/RTL
   mismatches over a synthesized front, detects tampered RTL, memoizes
-  through ``EvaluationCache``, and is reachable from the pipeline/CLI.
+  through ``EvaluationCache``, and is reachable from the session/CLI.
 """
 
 import numpy as np
@@ -508,12 +508,12 @@ class TestVerifyFront:
 
 
 # ----------------------------------------------------------------------
-# Pipeline / CLI wiring
+# Session / CLI wiring
 # ----------------------------------------------------------------------
 class TestPipelineVerifyRtl:
     def test_pipeline_runs_and_stores_verification(self):
         from repro.experiments.config import ExperimentScale
-        from repro.experiments.pipeline import DatasetPipeline
+        from repro.experiments.session import ExperimentSession
 
         scale = ExperimentScale(
             name="tiny-verify",
@@ -527,17 +527,17 @@ class TestPipelineVerifyRtl:
             verify_rtl=True,
             verify_vectors=10,
         )
-        pipeline = DatasetPipeline(scale)
-        result = pipeline.approximate("breast_cancer")
+        session = ExperimentSession(scale)
+        result = session.front("breast_cancer")
         verification = result.approximate.verification
         assert verification is not None
         assert verification.num_vectors == 10
         assert verification.passed
-        summary = pipeline.verification_summary()
+        summary = session.verification_summary()
         assert summary["breast_cancer"] is verification
 
     def test_pipeline_skips_verification_by_default(self):
-        from repro.experiments.pipeline import ApproximateResult
+        from repro.experiments.session import ApproximateResult
 
         assert ApproximateResult.__dataclass_fields__["verification"].default is None
 
@@ -547,7 +547,7 @@ class TestPipelineVerifyRtl:
         seen = {}
 
         class StubSession(runner.ExperimentSession):
-            def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
+            def run(self, experiments=None, export_dir=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 
@@ -631,9 +631,8 @@ class TestSeededVerification:
 
     def test_pipeline_uses_verify_seed_over_scale_seed(self, monkeypatch):
         """verify_seed overrides the experiment seed for stimulus draws."""
-        from repro.experiments import pipeline as pipeline_module
+        from repro.experiments import session as session_module
         from repro.experiments.config import ExperimentScale
-        from repro.experiments.pipeline import DatasetPipeline
 
         seen = {}
 
@@ -641,7 +640,7 @@ class TestSeededVerification:
             seen.update(kwargs)
             return None
 
-        monkeypatch.setattr(pipeline_module, "verify_front", spy_verify_front)
+        monkeypatch.setattr(session_module, "verify_front", spy_verify_front)
         scale = ExperimentScale(
             name="tiny-seeded",
             datasets=("breast_cancer",),
@@ -656,7 +655,7 @@ class TestSeededVerification:
             verify_seed=99,
             verify_eda=True,
         )
-        DatasetPipeline(scale).approximate("breast_cancer")
+        session_module.ExperimentSession(scale).front("breast_cancer")
         assert seen["seed"] == 99
         assert seen["eda"] is True
 
@@ -666,7 +665,7 @@ class TestSeededVerification:
         seen = {}
 
         class StubSession(runner.ExperimentSession):
-            def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
+            def run(self, experiments=None, export_dir=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 

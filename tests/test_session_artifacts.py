@@ -4,15 +4,13 @@ Covers the tentpole guarantees of the session redesign:
 
 * ``run("all")`` trains the per-dataset gradient baseline and the
   hardware-aware GA **exactly once** — experiments share the memoized
-  stage graph instead of re-driving the pipeline;
+  stage graph instead of retraining per artifact;
 * every experiment's artifact round-trips ``to_json -> from_json ->
   format`` **bit-identically**, and the exported CSV parses;
 * artifact **schemas are stable**: the golden files under
   ``tests/golden/`` pin each experiment's columns and display layout,
   so accidental schema drift fails loudly (update the goldens together
-  with a conscious ``ARTIFACT_SCHEMA_VERSION`` decision);
-* the legacy ``run_<experiment>`` shims delegate to the session (shared
-  stages, no retraining) and print identical tables.
+  with a conscious ``ARTIFACT_SCHEMA_VERSION`` decision).
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +32,6 @@ from repro.evaluation.artifacts import (
     ArtifactError,
 )
 from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
 from repro.experiments.session import (
     EXPERIMENT_DEFINITIONS,
     EXPERIMENT_ORDER,
@@ -192,15 +190,6 @@ class TestArtifactRoundTrip:
             assert parsed[0] == artifact.columns, name
             assert len(parsed) == len(artifact.rows) + 1, name
 
-    def test_format_matches_legacy_formatter(self, session_run):
-        """The shims' formatters and Artifact.format print one table."""
-        from repro.experiments.runner import EXPERIMENTS
-
-        _, artifacts, _, _ = session_run
-        for name, artifact in artifacts.items():
-            _, formatter = EXPERIMENTS[name]
-            assert artifact.format() == formatter([dict(r) for r in artifact.rows])
-
 
 class TestSchemaGolden:
     @pytest.mark.parametrize("name", EXPERIMENT_ORDER)
@@ -281,34 +270,6 @@ class TestArtifactUnit:
         assert len({first, second}) == 1
 
 
-class TestLegacyShims:
-    def test_shims_share_one_session_per_pipeline(self):
-        """Repeated legacy calls on one pipeline never retrain."""
-        from repro.experiments.table2 import run_table2
-
-        ga_calls = []
-        ga_orig = GATrainer.train
-
-        def counting(self, *args, **kwargs):
-            ga_calls.append(kwargs)
-            return ga_orig(self, *args, **kwargs)
-
-        GATrainer.train = counting
-        try:
-            pipeline = DatasetPipeline(TINY)
-            first = run_table2(pipeline)
-            trained = len(ga_calls)
-            second = run_table2(pipeline)
-        finally:
-            GATrainer.train = ga_orig
-        assert trained == 1  # one shared hardware-aware front
-        assert len(ga_calls) == trained
-        assert first == second
-        assert ExperimentSession.from_pipeline(pipeline) is ExperimentSession.coerce(
-            pipeline
-        )
-
-
 class TestParallelPrefetch:
     def test_dataset_workers_warm_stages_concurrently(self):
         scale = ExperimentScale(
@@ -322,8 +283,8 @@ class TestParallelPrefetch:
             max_front_designs=6,
             seed=0,
         )
-        session = ExperimentSession(scale)
-        artifacts = session.run(["table2"], dataset_workers=2)
+        session = ExperimentSession(replace(scale, dataset_workers=2))
+        artifacts = session.run(["table2"])
         rows = artifacts["table2"].rows
         assert [row["dataset"] for row in rows] == ["breast_cancer", "redwine"]
         counts = session.stage_counts()
@@ -343,7 +304,9 @@ class TestParallelPrefetch:
             seed=0,
         )
         serial = ExperimentSession(scale).run(["table2"])["table2"]
-        parallel = ExperimentSession(scale).run(["table2"], dataset_workers=2)["table2"]
+        parallel = ExperimentSession(replace(scale, dataset_workers=2)).run(["table2"])[
+            "table2"
+        ]
         assert parallel == serial
 
 
